@@ -45,7 +45,6 @@ func dialMirrorMember(addr string, size int64) (plane.Plane, error) {
 		MaxRetries:       4,
 		RetryBackoff:     10 * time.Millisecond,
 		ReconnectBackoff: 50 * time.Millisecond,
-		Batch:            nvmeof.BatchConfig{Enabled: true, MergeWrites: true},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mirror member %s: %w", addr, err)

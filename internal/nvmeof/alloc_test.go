@@ -19,10 +19,7 @@ func TestBatchedSteadyStateAllocs(t *testing.T) {
 		t.Skip("runs a full testing.Benchmark")
 	}
 	res := testing.Benchmark(func(b *testing.B) {
-		benchPool(b, 512, 0, PoolConfig{
-			QueuePairs: 2,
-			Batch:      BatchConfig{Enabled: true, MergeWrites: true},
-		})
+		benchPool(b, 512, 0, PoolConfig{QueuePairs: 2})
 	})
 	if a := res.AllocsPerOp(); a > 0 {
 		t.Errorf("batched steady state allocates %d objects/op, want 0", a)
@@ -43,10 +40,7 @@ func TestDeviceBoundBytesPerOp(t *testing.T) {
 		t.Skip("runs a full testing.Benchmark")
 	}
 	res := testing.Benchmark(func(b *testing.B) {
-		benchPool(b, 16*1024, 20*time.Microsecond, PoolConfig{
-			QueuePairs: 1,
-			Batch:      BatchConfig{Enabled: true, MergeWrites: true},
-		})
+		benchPool(b, 16*1024, 20*time.Microsecond, PoolConfig{QueuePairs: 1})
 	})
 	// Observed ~1-2.5KB/op healthy (short benchmark runs amortize the
 	// fixed dials and lazy per-slot state less); the splice regression

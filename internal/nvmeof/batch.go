@@ -10,45 +10,22 @@ import (
 	"time"
 )
 
-// BatchConfig tunes a queue pair's submission batcher. The batcher
-// coalesces capsules queued by concurrent submitters into a single
+// Every queue pair submits through one leader/follower batcher: the
+// capsules queued by concurrent submitters coalesce into a single
 // vectored wire write (net.Buffers, one writev on a TCP connection), so
 // the per-command syscall cost — the dominant software cost of small
-// commands, the cost the paper keeps off the critical path (§IV) —
-// is amortized across the batch. The wire format is unchanged: a batch
-// is byte-for-byte the capsules that would have been sent singly, so
-// batched initiators interoperate with every target and no version
-// negotiation is involved (capsules are self-delimiting; see
-// docs/batching.md).
-//
-// The zero value disables batching.
-type BatchConfig struct {
-	// Enabled turns the batcher on.
-	Enabled bool
-	// MaxBytes is the batch budget: a flush is cut when the pending
-	// wire bytes reach it (default 256 KiB). It also bounds merged
-	// WRITE payloads (never beyond MaxDataLen).
-	MaxBytes int
-	// MaxCommands caps the capsules per flush (default 64).
-	MaxCommands int
-	// MergeWrites additionally coalesces an enqueued WRITE whose range
-	// begins exactly where the previous still-pending WRITE ends into
-	// that command's capsule: one capsule, one target service visit,
-	// both submitters completed by the shared completion. Only
-	// untraced WRITEs merge (a merged capsule cannot carry two trace
-	// IDs).
-	MergeWrites bool
-}
-
-func (c BatchConfig) withDefaults() BatchConfig {
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 256 << 10
-	}
-	if c.MaxCommands <= 0 {
-		c.MaxCommands = 64
-	}
-	return c
-}
+// commands, the cost the paper keeps off the critical path (§IV) — is
+// amortized across the batch. The wire format is unchanged: a batch is
+// byte-for-byte the capsules that would have been sent singly, so the
+// initiator interoperates with every target and no version negotiation
+// is involved (capsules are self-delimiting; see docs/batching.md).
+const (
+	// batchMaxBytes is the batch budget: a flush is cut when the
+	// pending wire bytes reach it. It also bounds merged WRITE payloads.
+	batchMaxBytes = 256 << 10
+	// defaultMaxBatch caps the capsules per flush.
+	defaultMaxBatch = 64
+)
 
 // batchStat is the flush-time shape of one batch, shared by every
 // command it carried. The fields are atomic because a waiter reads
@@ -83,15 +60,23 @@ func (pc *pendingCmd) wire() int { return len(pc.hdr) + pc.payload }
 // batcher coalesces one queue pair's submissions into vectored writes,
 // leader/follower style: the first submitter to find no flush in
 // progress becomes the flusher and drains the pending queue — cutting
-// batches at the configured budget — while later submitters only
-// enqueue and wait for their completions. No background goroutine and
-// no linger timer: a lone submitter flushes immediately (same syscall
-// count as the unbatched path), and batches form exactly when
-// submissions actually overlap.
+// batches at the budget — while later submitters only enqueue and wait
+// for their completions. No background goroutine and no linger timer: a
+// lone submitter flushes immediately (one syscall per command), and
+// batches form exactly when submissions actually overlap.
+//
+// An enqueued WRITE whose range begins exactly where the previous
+// still-pending WRITE ends is merged into that command's capsule: one
+// capsule, one target service visit, both submitters completed by the
+// shared completion. Only untraced WRITEs merge (a merged capsule cannot
+// carry two trace IDs).
 //
 // Lock order: batcher.mu before Host.respMu, never the reverse.
 type batcher struct {
-	cfg BatchConfig
+	// maxBatch caps the capsules per flush. 1 sends every capsule in its
+	// own write and disables merging: the unbatched baseline the
+	// benchmarks compare against.
+	maxBatch int
 
 	mu       sync.Mutex
 	pending  []*hostSlot // slots awaiting the next flush (pc embedded)
@@ -135,26 +120,13 @@ func validateCommand(c *Command, version uint16, extra int) error {
 }
 
 // encodeCommandHeader renders cmd's fixed header (plus the trace-ID
-// extension when present) into a fresh slice, leaving the payload to
-// ride as its own iovec. The bytes are identical to what WriteCommandV
-// puts on the wire before the payload — pinned by
+// extension when present) into buf, which must hold
+// cmdHdrLen+traceExtLen bytes, and returns the encoded length. payload
+// is the data length the header announces (c.Data or a WriteAtV
+// vector), which rides as its own iovec. The bytes are identical to
+// what WriteCommandV puts on the wire before the payload — pinned by
 // TestBatchWireBytesPinned so the formats can never diverge.
-func encodeCommandHeader(c *Command) []byte {
-	hdr := make([]byte, cmdHdrLen+traceExtLen)
-	return hdr[:encodeCommandHeaderInto(hdr, c)]
-}
-
-// encodeCommandHeaderInto renders the header into buf (which must hold
-// cmdHdrLen+traceExtLen bytes) and returns the encoded length, so the
-// hot path can use a pendingCmd's inline buffer with no allocation.
-func encodeCommandHeaderInto(buf []byte, c *Command) int {
-	return encodeCommandHeaderIntoN(buf, c, len(c.Data))
-}
-
-// encodeCommandHeaderIntoN is encodeCommandHeaderInto with an explicit
-// payload length, for capsules whose data arrives as a vector of
-// slices (WriteAtV) rather than c.Data.
-func encodeCommandHeaderIntoN(buf []byte, c *Command, payload int) int {
+func encodeCommandHeader(buf []byte, c *Command, payload int) int {
 	n := cmdHdrLen
 	if c.Traced {
 		n += traceExtLen
@@ -177,19 +149,17 @@ func encodeCommandHeaderIntoN(buf []byte, c *Command, payload int) int {
 	return n
 }
 
-// submitBatched enqueues one slot for the next vectored flush and
-// waits for its completion. It is the batched counterpart of
-// submitDirect; errors during the flush poison the queue pair exactly
-// like a failed direct write. On success the slot is consumed and
-// freed before returning.
-func (h *Host) submitBatched(s *hostSlot) (Response, int, error) {
+// submitSlot enqueues one slot for the next vectored flush and waits
+// for its completion. A wire error during the flush poisons the queue
+// pair. On success the slot is consumed and freed before returning.
+func (h *Host) submitSlot(s *hostSlot) (Response, int, error) {
 	cmd := &s.cmd
 	selfPayload := len(cmd.Data) + s.vecLen
 	if err := validateCommand(cmd, uint16(h.version.Load()), s.vecLen); err != nil {
 		h.freeSlot(s)
 		return Response{}, 0, err
 	}
-	b := h.batch
+	b := &h.batch
 
 	b.mu.Lock()
 	// Merge an adjacent WRITE into its still-pending predecessor: one
@@ -245,8 +215,8 @@ func (h *Host) submitBatched(s *hostSlot) (Response, int, error) {
 	pc.op = cmd.Opcode
 	pc.payload = selfPayload
 	pc.endOff = cmd.Offset + uint64(selfPayload)
-	pc.merge = b.cfg.MergeWrites && cmd.Opcode == OpWriteCmd && !cmd.Traced && selfPayload > 0
-	pc.hdr = pc.hdrBuf[:encodeCommandHeaderIntoN(pc.hdrBuf[:], cmd, selfPayload)]
+	pc.merge = b.maxBatch > 1 && cmd.Opcode == OpWriteCmd && !cmd.Traced && selfPayload > 0
+	pc.hdr = pc.hdrBuf[:encodeCommandHeader(pc.hdrBuf[:], cmd, selfPayload)]
 	if s.vec != nil {
 		pc.data = append(pc.data, s.vec...)
 	} else if len(cmd.Data) > 0 {
@@ -256,16 +226,18 @@ func (h *Host) submitBatched(s *hostSlot) (Response, int, error) {
 	b.bytes += pc.wire()
 	if !b.flushing {
 		b.flushing = true
-		// Yield once before cutting the first batch: submitters that are
+		// With another command already in flight on this queue pair,
+		// yield once before cutting the first batch: submitters that are
 		// already runnable (a burst woken by the previous batch's
 		// completions, or peers on other Ps) get to enqueue behind us, so
 		// overlapping submissions actually coalesce instead of each
-		// becoming a depth-1 leader. A lone submitter pays one empty
-		// scheduler pass and proceeds immediately — still no linger
-		// timer, no background goroutine.
-		b.mu.Unlock()
-		runtime.Gosched()
-		b.mu.Lock()
+		// becoming a depth-1 leader. A lone submitter has nobody to wait
+		// for and flushes at once.
+		if h.inflightN.Load() > 1 {
+			b.mu.Unlock()
+			runtime.Gosched()
+			b.mu.Lock()
+		}
 		h.flushBatches(b) // unlocks b.mu
 	} else {
 		b.mu.Unlock()
@@ -284,17 +256,12 @@ func (h *Host) submitBatched(s *hostSlot) (Response, int, error) {
 // vectored WRITE). b.mu must be held.
 func (b *batcher) mergeTarget(cmd *Command, extra int) *hostSlot {
 	payload := len(cmd.Data) + extra
-	if !b.cfg.MergeWrites || cmd.Opcode != OpWriteCmd || cmd.Traced ||
-		payload == 0 || len(b.pending) == 0 {
+	if cmd.Opcode != OpWriteCmd || cmd.Traced || payload == 0 || len(b.pending) == 0 {
 		return nil
 	}
 	s := b.pending[len(b.pending)-1]
 	pc := &s.pc
-	limit := b.cfg.MaxBytes
-	if limit > MaxDataLen {
-		limit = MaxDataLen
-	}
-	if !pc.merge || pc.endOff != cmd.Offset || pc.payload+payload > limit {
+	if !pc.merge || pc.endOff != cmd.Offset || pc.payload+payload > batchMaxBytes {
 		return nil
 	}
 	return s
@@ -309,13 +276,13 @@ func (b *batcher) mergeTarget(cmd *Command, extra int) *hostSlot {
 func (h *Host) flushBatches(b *batcher) {
 	for len(b.pending) > 0 {
 		cut := len(b.pending)
-		if cut > b.cfg.MaxCommands {
-			cut = b.cfg.MaxCommands
+		if cut > b.maxBatch {
+			cut = b.maxBatch
 		}
 		wire := 0
 		for i := 0; i < cut; i++ {
 			wire += b.pending[i].pc.wire()
-			if wire >= b.cfg.MaxBytes && i+1 < cut {
+			if wire >= batchMaxBytes && i+1 < cut {
 				cut = i + 1
 				break
 			}

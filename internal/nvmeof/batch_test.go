@@ -16,7 +16,7 @@ import (
 // TestBatchWireBytesPinned pins encodeCommandHeader to WriteCommandV:
 // the batcher renders headers itself (so payloads can ride as separate
 // iovecs), and the two encodings must never diverge — a batch is
-// byte-for-byte the capsules a direct sender would emit.
+// byte-for-byte the capsules the protocol encoder would emit.
 func TestBatchWireBytesPinned(t *testing.T) {
 	cmds := []*Command{
 		{Opcode: OpConnect, NSID: 7, ProposeVersion: MaxVersion},
@@ -34,7 +34,8 @@ func TestBatchWireBytesPinned(t *testing.T) {
 		if err := WriteCommandV(&direct, cmd, version); err != nil {
 			t.Fatalf("%s: %v", cmd.Opcode, err)
 		}
-		batched := append(encodeCommandHeader(cmd), cmd.Data...)
+		hdr := make([]byte, cmdHdrLen+traceExtLen)
+		batched := append(hdr[:encodeCommandHeader(hdr, cmd, len(cmd.Data))], cmd.Data...)
 		if !bytes.Equal(direct.Bytes(), batched) {
 			t.Errorf("%s: batched encoding diverges from WriteCommandV\n direct:  %x\n batched: %x",
 				cmd.Opcode, direct.Bytes(), batched)
@@ -57,45 +58,55 @@ func (c recordingConn) Write(p []byte) (int, error) {
 }
 
 // TestBatchedWireStreamMatchesUnbatched is the legacy-interop pin: a
-// batched initiator issuing commands one at a time puts the exact same
-// bytes on the wire as an unbatched one, so any legacy target that
-// speaks the capsule protocol is automatically a valid batch peer.
+// queue pair issuing commands one at a time puts exactly the bytes the
+// protocol encoder (WriteCommandV) produces for the same commands on
+// the wire, so any legacy target that speaks the capsule protocol is
+// automatically a valid batch peer.
 func TestBatchedWireStreamMatchesUnbatched(t *testing.T) {
-	run := func(batch BatchConfig) []byte {
-		_, addr := startTarget(t, map[uint32]int64{1: model.MB})
-		var mu sync.Mutex
-		var wire bytes.Buffer
-		h, err := DialConfig(addr, 1, HostConfig{
-			Batch: batch,
-			Dial: func(a string) (net.Conn, error) {
-				c, err := net.Dial("tcp", a)
-				if err != nil {
-					return nil, err
-				}
-				return recordingConn{Conn: c, mu: &mu, buf: &wire}, nil
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer h.Close()
-		if err := h.WriteAt(0, []byte("interop-payload")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := h.ReadAt(0, 15); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]byte(nil), wire.Bytes()...)
+	_, addr := startTarget(t, map[uint32]int64{1: model.MB})
+	var mu sync.Mutex
+	var wire bytes.Buffer
+	h, err := DialConfig(addr, 1, HostConfig{
+		Dial: func(a string) (net.Conn, error) {
+			c, err := net.Dial("tcp", a)
+			if err != nil {
+				return nil, err
+			}
+			return recordingConn{Conn: c, mu: &mu, buf: &wire}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	unbatched := run(BatchConfig{})
-	batched := run(BatchConfig{Enabled: true, MergeWrites: true})
-	if !bytes.Equal(unbatched, batched) {
-		t.Fatalf("batched wire stream diverged from unbatched\n unbatched: %x\n batched:   %x", unbatched, batched)
+	defer h.Close()
+	payload := []byte("interop-payload")
+	if err := h.WriteAt(0, payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.ReadAt(0, int64(len(payload))); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The free ring is FIFO, so serialized commands take slots 0, 1, 2,
+	// 3 in turn: CIDs 1 through 4.
+	var want bytes.Buffer
+	for _, cmd := range []*Command{
+		{Opcode: OpConnect, CID: 1, NSID: 1},
+		{Opcode: OpWriteCmd, CID: 2, Data: payload},
+		{Opcode: OpReadCmd, CID: 3, Length: uint32(len(payload))},
+		{Opcode: OpFlushCmd, CID: 4},
+	} {
+		if err := WriteCommandV(&want, cmd, VersionLegacy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !bytes.Equal(wire.Bytes(), want.Bytes()) {
+		t.Fatalf("wire stream diverged from the protocol encoder\n encoder: %x\n wire:    %x", want.Bytes(), wire.Bytes())
 	}
 }
 
@@ -119,7 +130,6 @@ func TestBatchMergeAdjacentWrites(t *testing.T) {
 	tgt, addr := startTarget(t, map[uint32]int64{1: model.MB})
 	var gate sync.Mutex
 	h, err := DialConfig(addr, 1, HostConfig{
-		Batch: BatchConfig{Enabled: true, MergeWrites: true},
 		Dial: func(a string) (net.Conn, error) {
 			c, err := net.Dial("tcp", a)
 			if err != nil {
@@ -188,13 +198,13 @@ func TestBatchMergeAdjacentWrites(t *testing.T) {
 }
 
 // TestBatchRespectsBudgets pins the cut points: a run of submissions
-// larger than MaxCommands splits into several flushes, and every
-// command still completes.
+// larger than maxBatch splits into several flushes, and every command
+// still completes.
 func TestBatchRespectsBudgets(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: model.MB})
 	var gate sync.Mutex
 	h, err := DialConfig(addr, 1, HostConfig{
-		Batch: BatchConfig{Enabled: true, MaxCommands: 4},
+		maxBatch: 4,
 		Dial: func(a string) (net.Conn, error) {
 			c, err := net.Dial("tcp", a)
 			if err != nil {
@@ -235,7 +245,7 @@ func TestBatchRespectsBudgets(t *testing.T) {
 	// histogram records one observation per flush.
 	flushes := h.tel.batchFlushes.Value()
 	if flushes < 3 {
-		t.Errorf("%d flushes for %d commands with MaxCommands=4, want >= 3", flushes, writers)
+		t.Errorf("%d flushes for %d commands with maxBatch=4, want >= 3", flushes, writers)
 	}
 	if cmds := h.tel.batchCmds.Count(); cmds != flushes {
 		t.Errorf("batch-commands histogram saw %d flushes, counter says %d", cmds, flushes)
@@ -260,7 +270,6 @@ func TestBatchFlusherVsReconnect(t *testing.T) {
 		CommandTimeout:   time.Second,
 		RetryBackoff:     time.Millisecond,
 		ReconnectBackoff: time.Millisecond,
-		Batch:            BatchConfig{Enabled: true, MergeWrites: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -328,9 +337,8 @@ func TestBatchFlusherVsReconnect(t *testing.T) {
 }
 
 // TestFlightDumpDuringBatchedTimeout pins the flight-recorder path on
-// the batched submission route: a batched command that times out dumps
-// the queue pair's ring exactly as a direct one does, and its record
-// carries the batch size.
+// the batched submission route: a command that times out dumps the
+// queue pair's ring, and its record carries the batch size.
 func TestFlightDumpDuringBatchedTimeout(t *testing.T) {
 	addr := stalledTarget(t, model.MB)
 	var traceBuf bytes.Buffer
@@ -338,7 +346,6 @@ func TestFlightDumpDuringBatchedTimeout(t *testing.T) {
 	h, err := DialConfig(addr, 1, HostConfig{
 		CommandTimeout: 50 * time.Millisecond,
 		Tracer:         tr,
-		Batch:          BatchConfig{Enabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -375,9 +382,7 @@ func TestFlightDumpDuringBatchedTimeout(t *testing.T) {
 // batch telemetry accounts for every command.
 func TestBatchedConcurrentWriteRead(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: 64 * model.MB})
-	h, err := DialConfig(addr, 1, HostConfig{
-		Batch: BatchConfig{Enabled: true, MergeWrites: true},
-	})
+	h, err := DialConfig(addr, 1, HostConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,10 +146,7 @@ func TestBufferTimeoutKeepsRegistration(t *testing.T) {
 // still touching a completed buffer's bytes shows up as a data race.
 func TestBufferLifetimeUnderLoad(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: 64 * model.MB})
-	p, err := DialPool(addr, 1, PoolConfig{
-		QueuePairs: 2,
-		Batch:      BatchConfig{Enabled: true, MergeWrites: true},
-	})
+	p, err := DialPool(addr, 1, PoolConfig{QueuePairs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

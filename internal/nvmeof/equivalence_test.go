@@ -85,7 +85,6 @@ func newMirroredEqWorld(t *testing.T, groups, replicas int, total, seed int64) *
 			MaxRetries:       2,
 			RetryBackoff:     time.Millisecond,
 			ReconnectBackoff: time.Millisecond,
-			Batch:            BatchConfig{Enabled: true, MergeWrites: true},
 		})
 		if err != nil {
 			t.Fatal(err)

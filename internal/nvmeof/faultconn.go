@@ -13,13 +13,16 @@ import (
 // HostPool deadlines, idempotent retry, reconnect — against connection
 // resets, truncated or duplicated frames, and blackholed capsules.
 //
-// Write-side points carry the capsule's opcode name as the op
-// ("CONNECT", "READ", "WRITE", …) when the frame starts with a command
-// header — the initiator flushes one capsule per Write, so this is
-// exact for host-side injection — and "write" otherwise. Read-side
-// points use op "read"; the byte stream arrives in arbitrary chunks, so
-// read rules count syscalls, not capsules. Points carry rank -1 and the
-// plan's wall-clock Elapsed time.
+// Write-side faults act on frames, and a frame is one capsule: a Write
+// carrying a batch of capsules is split at capsule boundaries and every
+// capsule is evaluated on its own, so a reset or truncation delivers the
+// capsules before it and never the ones behind it — the same stream a
+// one-capsule-per-write initiator would have produced. Write-side
+// points carry the capsule's opcode name as the op ("CONNECT", "READ",
+// "WRITE", …) when the frame starts with a command header, and "write"
+// otherwise. Read-side points use op "read"; the byte stream arrives in
+// arbitrary chunks, so read rules count syscalls, not capsules. Points
+// carry rank -1 and the plan's wall-clock Elapsed time.
 //
 // Injected kinds:
 //
@@ -68,7 +71,39 @@ func frameOp(b []byte) string {
 	return "write"
 }
 
+// capsuleLen is the length of the capsule b starts with, or len(b) when
+// b does not start with a whole command capsule.
+func capsuleLen(b []byte) int {
+	if len(b) < cmdHdrLen || binary.LittleEndian.Uint32(b) != cmdMagic {
+		return len(b)
+	}
+	n := cmdHdrLen + int(binary.LittleEndian.Uint32(b[24:]))
+	if b[5]&cmdFlagTraced != 0 {
+		n += traceExtLen
+	}
+	if n > len(b) {
+		return len(b)
+	}
+	return n
+}
+
 func (c *FaultConn) Write(b []byte) (int, error) {
+	written := 0
+	for written < len(b) {
+		frame := b[written:]
+		frame = frame[:capsuleLen(frame)]
+		n, err := c.writeFrame(frame)
+		written += n
+		if err != nil {
+			return written, err
+		}
+	}
+	return written, nil
+}
+
+// writeFrame writes one frame, applying the plan's write-side fault for
+// it. A blackholed frame reports itself written.
+func (c *FaultConn) writeFrame(b []byte) (int, error) {
 	inj, ok := c.plan.Eval(faults.Point{
 		Layer: faults.LayerTCP, Op: frameOp(b), Rank: -1, Now: c.plan.Elapsed(),
 	})

@@ -3,6 +3,7 @@ package nvmeof
 import (
 	"bytes"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -168,5 +169,65 @@ func TestFaultConnBlackholeHitsDeadline(t *testing.T) {
 	}
 	if err := h.WriteAt(0, []byte("after the blackhole")); err != nil {
 		t.Fatalf("write after blackholed command: %v", err)
+	}
+}
+
+// captureConn is a net.Conn double that records what reaches the wire.
+type captureConn struct {
+	net.Conn
+	wire   bytes.Buffer
+	closed bool
+}
+
+func (c *captureConn) Write(b []byte) (int, error) { return c.wire.Write(b) }
+func (c *captureConn) Close() error                { c.closed = true; return nil }
+
+// TestFaultConnSplitsBatchedFrames pins that a Write carrying a batch
+// of capsules is faulted capsule by capsule: a rule scoped to an opcode
+// finds the capsule even mid-batch, and a reset delivers the capsules up
+// to and including the one it hit, never the ones behind it.
+func TestFaultConnSplitsBatchedFrames(t *testing.T) {
+	var batch bytes.Buffer
+	var capsules [][]byte
+	for _, cmd := range []*Command{
+		{Opcode: OpWriteCmd, CID: 1, Data: []byte("first")},
+		{Opcode: OpWriteCmd, CID: 2, Traced: true, TraceID: 7, Data: []byte("second")},
+		{Opcode: OpFlushCmd, CID: 3},
+	} {
+		version := VersionLegacy
+		if cmd.Traced {
+			version = VersionTrace
+		}
+		var one bytes.Buffer
+		if err := WriteCommandV(&one, cmd, version); err != nil {
+			t.Fatal(err)
+		}
+		capsules = append(capsules, one.Bytes())
+		batch.Write(one.Bytes())
+	}
+
+	reset := &captureConn{}
+	fc := NewFaultConn(reset, faults.NewPlan(31, faults.Rule{
+		Layer: faults.LayerTCP, Op: "WRITE", Nth: 2, Kind: faults.KindConnReset,
+	}))
+	n, err := fc.Write(batch.Bytes())
+	if err == nil {
+		t.Fatal("reset mid-batch reported success")
+	}
+	want := append(append([]byte(nil), capsules[0]...), capsules[1]...)
+	if n != len(want) || !bytes.Equal(reset.wire.Bytes(), want) || !reset.closed {
+		t.Fatalf("reset on the second WRITE: wrote %d bytes (closed=%v), want exactly the first two capsules (%d bytes)",
+			n, reset.closed, len(want))
+	}
+
+	hole := &captureConn{}
+	fc = NewFaultConn(hole, faults.NewPlan(32, faults.Rule{
+		Layer: faults.LayerTCP, Op: "FLUSH", Nth: 1, Kind: faults.KindBlackhole,
+	}))
+	if n, err := fc.Write(batch.Bytes()); err != nil || n != batch.Len() {
+		t.Fatalf("blackholed batch Write = %d, %v; want %d, nil", n, err, batch.Len())
+	}
+	if !bytes.Equal(hole.wire.Bytes(), want) {
+		t.Fatal("blackhole on the trailing FLUSH did not swallow exactly that capsule")
 	}
 }

@@ -40,7 +40,7 @@ type FlightRecord struct {
 	// on targets.
 	ElapsedNS int64 `json:"elapsed_ns"`
 	// Batch is how many capsules shared this command's vectored flush
-	// (0 on the direct, unbatched path).
+	// (0 on targets, and for a command that never reached a flush).
 	Batch int `json:"batch,omitempty"`
 	// Phases is the per-phase breakdown when HasPhases is set: always
 	// on targets, and on hosts for traced commands (echoed by the

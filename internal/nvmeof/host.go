@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,10 +22,10 @@ var ErrTimeout = errors.New("nvmeof: command deadline exceeded")
 // completion whose payload disagrees with what the command requested.
 var ErrBadResponse = errors.New("nvmeof: malformed response from target")
 
-// defaultBusyPollSpins is how many reap-then-yield iterations a waiter
-// spins before parking when busy-poll is enabled without an explicit
-// budget.
-const defaultBusyPollSpins = 128
+// ErrQueueFull reports that every command slot of a queue pair is in
+// flight. The command was never sent and the queue pair stays healthy:
+// the caller may retry once completions drain.
+var ErrQueueFull = errors.New("nvmeof: queue full")
 
 // HostConfig tunes one queue pair.
 type HostConfig struct {
@@ -55,19 +54,11 @@ type HostConfig struct {
 	// slot lands in its own ring). Nil gets a private recorder of
 	// DefaultFlightDepth.
 	Flight *FlightRecorder
-	// Batch configures the submission batcher: concurrent submissions
-	// coalesce into one vectored wire write per batch (see BatchConfig).
-	// The zero value keeps the direct, one-flush-per-command path.
-	Batch BatchConfig
-	// BusyPoll makes waiters spin reaping their completion (yielding
-	// between probes) before parking on the channel — the SPDK polled-
-	// mode tradeoff: lower wake-up latency for burned cycles. Only
-	// worth enabling when cores outnumber active queue pairs; see
-	// docs/batching.md.
-	BusyPoll bool
-	// BusyPollSpins overrides the spin budget (default
-	// defaultBusyPollSpins). Ignored unless BusyPoll is set.
-	BusyPollSpins int
+
+	// maxBatch caps the capsules per vectored flush (0 means
+	// defaultMaxBatch). 1 is the unbatched baseline: one capsule per
+	// write and no WRITE merging.
+	maxBatch int
 }
 
 // Host is an NVMe-oF initiator over the TCP transport: one queue pair
@@ -85,10 +76,6 @@ type Host struct {
 	nsid    uint32
 	timeout time.Duration
 
-	sendMu sync.Mutex  // serializes capsule writes (direct path)
-	iov    net.Buffers // direct-path iovec backing, under sendMu
-	stage  []byte      // direct-path coalesce backing (non-TCP conns), under sendMu
-
 	// respMu orders slot state transitions against the failure sweep
 	// and guards follower lists. The state machine itself is CAS-based
 	// (see ring.go), so the owner's free transition skips the lock.
@@ -105,11 +92,8 @@ type Host struct {
 	// pool's per-command path.
 	failed atomic.Bool
 
-	// batch, when non-nil, routes every submission through the
-	// vectored-write batcher instead of the direct path.
-	batch *batcher
-
-	pollSpins int
+	// batch coalesces concurrent submissions into vectored writes.
+	batch batcher
 
 	nsSize int64
 	err    error
@@ -198,14 +182,9 @@ func DialConfig(addr string, nsid uint32, cfg HostConfig) (*Host, error) {
 		s.followers = s.followersInline[:0]
 		h.freeRing.push(s.idx)
 	}
-	if cfg.Batch.Enabled {
-		h.batch = &batcher{cfg: cfg.Batch.withDefaults()}
-	}
-	if cfg.BusyPoll {
-		h.pollSpins = cfg.BusyPollSpins
-		if h.pollSpins <= 0 {
-			h.pollSpins = defaultBusyPollSpins
-		}
+	h.batch.maxBatch = cfg.maxBatch
+	if h.batch.maxBatch <= 0 {
+		h.batch.maxBatch = defaultMaxBatch
 	}
 	go h.readLoop()
 	// Offer the trace extension only when a tracer will consume it, so
@@ -284,7 +263,7 @@ func (h *Host) acquireSlot() (*hostSlot, error) {
 	}
 	idx, ok := h.freeRing.pop()
 	if !ok {
-		return nil, fmt.Errorf("nvmeof: queue full: %d commands in flight", len(h.slots))
+		return nil, fmt.Errorf("%w: %d commands in flight", ErrQueueFull, len(h.slots))
 	}
 	s := &h.slots[idx]
 	if s.ch == nil {
@@ -329,30 +308,6 @@ func (h *Host) freeSlot(s *hostSlot) {
 	}
 	s.state.Store(slotFree)
 	h.freeRing.push(s.idx)
-}
-
-// unregisterSlot retracts a registration whose wire write failed. If a
-// completion raced in anyway, it is consumed and the slot freed.
-func (h *Host) unregisterSlot(s *hostSlot) {
-	h.respMu.Lock()
-	if s.state.CompareAndSwap(slotInflight, slotFree) {
-		h.respMu.Unlock()
-		h.tel.ringOcc.Set(int64(h.inflightN.Add(-1)))
-		if s.reg != nil {
-			s.reg.unregister()
-			s.reg = nil
-		}
-		h.freeRing.push(s.idx)
-		return
-	}
-	h.respMu.Unlock()
-	select {
-	case _, ok := <-s.ch:
-		if ok {
-			h.freeSlot(s)
-		}
-	default:
-	}
 }
 
 // readLoop dispatches completions to waiting submitters. One Response
@@ -501,16 +456,7 @@ func (h *Host) roundTrip(s *hostSlot) (Response, error) {
 	cid := cmd.CID
 	payload := len(cmd.Data) + s.vecLen
 	start := time.Now()
-	var (
-		resp   Response
-		batchN int
-		err    error
-	)
-	if h.batch != nil {
-		resp, batchN, err = h.submitBatched(s)
-	} else {
-		resp, err = h.submitDirect(s)
-	}
+	resp, batchN, err := h.submitSlot(s)
 	rtt := time.Since(start)
 	h.tel.observe(payload, resp, err, rtt)
 	h.observeFlight(op, traceID, cid, payload, resp, err, start, rtt, batchN)
@@ -596,11 +542,9 @@ func (h *Host) noteBadResponse(err error) error {
 }
 
 // awaitResponse waits for the slot's completion, bounded by the queue
-// pair's CommandTimeout if one is configured. With busy-poll enabled it
-// first spins reaping the channel (yielding between probes) before
-// parking. The slot is NOT freed here: on success the caller consumes
-// the response and frees; on timeout ownership transfers to the read
-// loop's reclaim.
+// pair's CommandTimeout if one is configured. The slot is NOT freed
+// here: on success the caller consumes the response and frees; on
+// timeout ownership transfers to the read loop's reclaim.
 //
 // respTimerPool recycles the per-command timeout timers: every bounded
 // round trip arms one, and allocating a runtime timer per command is
@@ -608,21 +552,6 @@ func (h *Host) noteBadResponse(err error) error {
 var respTimerPool sync.Pool
 
 func (h *Host) awaitResponse(s *hostSlot) (Response, error) {
-	if h.pollSpins > 0 {
-		for i := 0; i < h.pollSpins; i++ {
-			select {
-			case resp, ok := <-s.ch:
-				if !ok {
-					return Response{}, h.lastErr()
-				}
-				h.tel.pollHits.Inc()
-				return resp, nil
-			default:
-			}
-			runtime.Gosched()
-		}
-		h.tel.pollParks.Inc()
-	}
 	// A plain receive covers delivery AND failure: the failure sweep
 	// closes every in-flight slot's channel (under the same respMu that
 	// ordered this slot's registration), so an unbounded wait needs no
@@ -681,48 +610,14 @@ func (h *Host) awaitResponse(s *hostSlot) (Response, error) {
 	}
 }
 
-// submitDirect sends one slot's command as a single vectored write —
-// header and payload as separate iovecs, no intermediate copy — and
-// waits for its completion.
-func (h *Host) submitDirect(s *hostSlot) (Response, error) {
-	if err := validateCommand(&s.cmd, uint16(h.version.Load()), s.vecLen); err != nil {
-		h.freeSlot(s)
-		return Response{}, err
-	}
-	if err := h.registerSlot(s); err != nil {
-		return Response{}, err
-	}
-	h.sendMu.Lock()
-	n := encodeCommandHeaderIntoN(s.pc.hdrBuf[:], &s.cmd, len(s.cmd.Data)+s.vecLen)
-	iov := append(h.iov[:0], s.pc.hdrBuf[:n])
-	if s.vec != nil {
-		iov = append(iov, s.vec...)
-	} else if len(s.cmd.Data) > 0 {
-		iov = append(iov, s.cmd.Data)
-	}
-	h.iov = iov[:0] // retain the (possibly grown) backing for reuse
-	err := writeBuffers(h.conn, iov, &h.stage)
-	h.sendMu.Unlock()
-	if err != nil {
-		h.unregisterSlot(s)
-		return Response{}, err
-	}
-	resp, err := h.awaitResponse(s)
-	if err != nil {
-		return resp, err
-	}
-	h.freeSlot(s)
-	return resp, nil
-}
-
 // writeBuffers puts one or more whole capsules on the wire. On a real
 // TCP connection the buffers go out as a single writev, no copy. On a
 // wrapped connection (fault injection, test doubles) they are coalesced
 // into one reusable staging buffer first: wrappers classify each Write
 // call as one frame, so a capsule must never be split across calls.
-// The caller owns stage's serialization (sendMu on the direct path, the
-// flushing flag on the batched path). Consumed entries of bufs are
-// nil'ed either way, so the retained iovec backing pins no payloads.
+// The caller owns stage's serialization (the batcher's flushing flag).
+// Consumed entries of bufs are nil'ed either way, so the retained iovec
+// backing pins no payloads.
 func writeBuffers(conn net.Conn, bufs net.Buffers, stage *[]byte) error {
 	if _, ok := conn.(*net.TCPConn); ok {
 		_, err := bufs.WriteTo(conn)

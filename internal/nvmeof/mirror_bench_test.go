@@ -40,10 +40,7 @@ func BenchmarkMirroredPlane(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pool, err := DialPool(addr, 1, PoolConfig{
-				QueuePairs: 2,
-				Batch:      BatchConfig{Enabled: true, MergeWrites: true},
-			})
+			pool, err := DialPool(addr, 1, PoolConfig{QueuePairs: 2})
 			if err != nil {
 				b.Fatal(err)
 			}

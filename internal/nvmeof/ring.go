@@ -1,6 +1,7 @@
 package nvmeof
 
 import (
+	"runtime"
 	"sync/atomic"
 )
 
@@ -114,7 +115,11 @@ func newIndexRing(capacity int, start uint32) *indexRing {
 	return r
 }
 
-// push enqueues v; it returns false when the ring is full.
+// push enqueues v; it returns false only when the ring is full. A tail
+// cell still awaiting its previous lap's release is not fullness: the
+// consumer that claimed it may have been descheduled between its CAS
+// and its sequence store while every other cell is free, so push yields
+// until it releases rather than drop the index.
 func (r *indexRing) push(v uint16) bool {
 	for {
 		tail := r.tail.Load()
@@ -128,14 +133,21 @@ func (r *indexRing) push(v uint16) bool {
 				return true
 			}
 		case d < 0:
-			return false // full: consumer has not cleared this cell yet
+			if int32(tail-r.head.Load()) > int32(r.mask) {
+				return false // full
+			}
+			runtime.Gosched() // a pop holds this cell mid-release
 		}
 		// d > 0: another producer claimed this ticket; retry.
 	}
 }
 
-// pop dequeues the oldest index; it returns false when the ring is
-// empty.
+// pop dequeues the oldest index; it returns false only when the ring is
+// empty. A head cell whose producer has claimed its ticket but not yet
+// published the value is not emptiness: that producer may have been
+// descheduled between the two steps while later cells already hold
+// values, so pop yields until it publishes rather than report a free
+// slot as missing.
 func (r *indexRing) pop() (uint16, bool) {
 	for {
 		head := r.head.Load()
@@ -149,7 +161,10 @@ func (r *indexRing) pop() (uint16, bool) {
 				return v, true
 			}
 		case d < 0:
-			return 0, false // empty
+			if int32(r.tail.Load()-head) <= 0 {
+				return 0, false // empty
+			}
+			runtime.Gosched() // a push holds this ticket mid-publish
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestIndexRingFIFO pins the single-threaded contract: a ring holds
@@ -121,6 +122,77 @@ func TestIndexRingConcurrent(t *testing.T) {
 		if v >= cap/2 {
 			t.Fatalf("drained index %d was never pushed", v)
 		}
+	}
+}
+
+// TestIndexRingPopWaitsForClaimedPush pins the free-slot guarantee the
+// queue pair's acquire path rests on: a producer that claimed the head
+// ticket but has not yet published (descheduled between its CAS and its
+// sequence store) must not make pop report an empty ring while a later
+// cell already holds a value.
+func TestIndexRingPopWaitsForClaimedPush(t *testing.T) {
+	r := newIndexRing(8, 0)
+	// Producer A claims ticket 0 and stalls before publishing.
+	ticket := r.tail.Load()
+	if !r.tail.CompareAndSwap(ticket, ticket+1) {
+		t.Fatal("claim failed on an idle ring")
+	}
+	stalled := &r.cells[ticket&r.mask]
+	// Producer B completes a push into the next cell.
+	if !r.push(2) {
+		t.Fatal("push rejected")
+	}
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		stalled.val = 1
+		stalled.seq.Store(ticket + 1)
+	}()
+	for _, want := range []uint16{1, 2} {
+		v, ok := r.pop()
+		if !ok {
+			t.Fatalf("pop reported empty with %d indices claimed", r.occupancy())
+		}
+		if v != want {
+			t.Fatalf("pop = %d, want %d (FIFO)", v, want)
+		}
+	}
+	if _, ok := r.pop(); ok {
+		t.Fatal("pop succeeded on a drained ring")
+	}
+}
+
+// TestIndexRingPushWaitsForClaimedPop is the release-side twin: a
+// consumer descheduled between claiming the head ticket and releasing
+// its cell must not make push drop an index as "full" while other cells
+// are free. A dropped index is a slot lost for the queue pair's life.
+func TestIndexRingPushWaitsForClaimedPop(t *testing.T) {
+	const cap = 8
+	r := newIndexRing(cap, 0)
+	for i := 0; i < cap; i++ {
+		r.push(uint16(i))
+	}
+	// Consumer A claims ticket 0 and stalls before releasing its cell.
+	ticket := r.head.Load()
+	if !r.head.CompareAndSwap(ticket, ticket+1) {
+		t.Fatal("claim failed on an idle ring")
+	}
+	stalled := &r.cells[ticket&r.mask]
+	// Consumer B pops ticket 1 normally: the ring now holds 6 of 8.
+	if v, ok := r.pop(); !ok || v != 1 {
+		t.Fatalf("pop = %d,%v, want 1", v, ok)
+	}
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		stalled.seq.Store(ticket + r.mask + 1)
+	}()
+	if !r.push(0) {
+		t.Fatalf("push rejected with %d of %d cells held", r.occupancy(), cap)
+	}
+	if !r.push(1) {
+		t.Fatal("push rejected below capacity")
+	}
+	if r.push(99) {
+		t.Fatal("push accepted on a full ring")
 	}
 }
 

@@ -397,40 +397,23 @@ func (s *StripedPlane) check(off, length int64) error {
 	return nil
 }
 
-// forEachSpan runs fn over the request's per-group spans: concurrently
-// when no simulated process is attached (the real TCP path, where
-// concurrency is the point), sequentially under the simulator (where
-// determinism is the point and the children charge virtual time).
-// The first error wins; all spans are always attempted, so a striped
-// write failing on one group still lands its other units — the same
-// partial-write exposure a failed chunked TCPPlane write has, and why
-// callers treat any write error as "durability unknown until re-proven".
-func (s *StripedPlane) forEachSpan(p *sim.Proc, spans []balancer.StripeSpan, fn func(sp balancer.StripeSpan) error) error {
-	if p != nil || len(spans) == 1 {
-		var firstErr error
-		for _, sp := range spans {
-			if err := fn(sp); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	errs := make([]error, len(spans))
-	var wg sync.WaitGroup
-	for i, sp := range spans {
-		wg.Add(1)
-		go func(i int, sp balancer.StripeSpan) {
-			defer wg.Done()
-			errs[i] = fn(sp)
-		}(i, sp)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+// forEachSpan runs fn over the request's per-group spans in order: the
+// simulator's path (where determinism is the point and the children
+// charge virtual time) and a real-path request inside one span. A
+// multi-span real-path request goes through the grouped fan-out
+// instead. The first error wins; all spans are always attempted, so a
+// striped write failing on one group still lands its other units — the
+// same partial-write exposure a failed chunked TCPPlane write has, and
+// why callers treat any write error as "durability unknown until
+// re-proven".
+func forEachSpan(spans []balancer.StripeSpan, fn func(sp balancer.StripeSpan) error) error {
+	var firstErr error
+	for _, sp := range spans {
+		if err := fn(sp); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
-	return nil
+	return firstErr
 }
 
 // stripeGroup is one mirror group's share of a striped request. A
@@ -455,12 +438,12 @@ type stripeGroup struct {
 // wider stripes spill to the heap, they don't fail.
 const inlineStripeGroups = 8
 
-// groupSpans coalesces spans per group into buf. It returns ok=false
-// if any group's spans are not contiguous on that group — geometry
-// guarantees they are for the balancer's round-robin striping, but the
-// caller falls back to the span-at-a-time path rather than trusting
-// that invariant with data placement.
-func groupSpans(spans []balancer.StripeSpan, buf []stripeGroup) ([]stripeGroup, bool) {
+// groupSpans coalesces a real-path request's spans into one extent per
+// group, in buf. balancer.StripeGeometry round-robin striping always
+// yields group-contiguous spans (pinned by
+// TestGroupSpansContiguousForStripeGeometry), so a violation is a
+// geometry bug and fails the request rather than misplace data.
+func groupSpans(spans []balancer.StripeSpan, buf []stripeGroup) ([]stripeGroup, error) {
 	groups := buf[:0]
 	for _, sp := range spans {
 		found := false
@@ -469,7 +452,7 @@ func groupSpans(spans []balancer.StripeSpan, buf []stripeGroup) ([]stripeGroup, 
 				continue
 			}
 			if groups[gi].targetOff+groups[gi].length != sp.TargetOff {
-				return nil, false
+				return nil, fmt.Errorf("nvmeof: stripe group %d spans not contiguous at member offset %d", sp.Target, sp.TargetOff)
 			}
 			groups[gi].length += sp.Length
 			groups[gi].count++
@@ -485,7 +468,7 @@ func groupSpans(spans []balancer.StripeSpan, buf []stripeGroup) ([]stripeGroup, 
 			})
 		}
 	}
-	return groups, true
+	return groups, nil
 }
 
 // writeTargets picks the members of a group a write must land on: every
@@ -537,20 +520,19 @@ func (s *StripedPlane) Write(p *sim.Proc, off, length int64, data []byte, cmdUni
 	spans := s.logical.Spans(off, length)
 	if p == nil && len(spans) > 1 {
 		var buf [inlineStripeGroups]stripeGroup
-		if groups, ok := groupSpans(spans, buf[:]); ok {
-			return s.writeGrouped(snap, spans, groups, off, data, cmdUnit)
+		groups, err := groupSpans(spans, buf[:])
+		if err != nil {
+			return err
 		}
+		return s.writeGrouped(snap, spans, groups, off, data, cmdUnit)
 	}
-	return s.forEachSpan(p, spans, func(sp balancer.StripeSpan) error {
+	var memberBuf [inlineChildren]memberView
+	return forEachSpan(spans, func(sp balancer.StripeSpan) error {
 		var chunk []byte
 		if data != nil {
 			rel := sp.Off - off
 			chunk = data[rel : rel+sp.Length]
 		}
-		// Per-call buffer: forEachSpan runs this callback concurrently
-		// on the real TCP path, so the attempt snapshot must not share
-		// backing across spans.
-		var memberBuf [inlineChildren]memberView
 		attempt, skipped := writeTargets(s.groupMembers(snap, sp.Target), memberBuf[:0])
 		if len(attempt) == 0 {
 			return fmt.Errorf("nvmeof: write group %d: %w", sp.Target, ErrNoReplica)
@@ -782,19 +764,18 @@ func (s *StripedPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]by
 	spans := s.logical.Spans(off, length)
 	if p == nil && len(spans) > 1 {
 		var buf [inlineStripeGroups]stripeGroup
-		if groups, ok := groupSpans(spans, buf[:]); ok {
-			return s.readGrouped(snap, groups, off, length)
+		groups, err := groupSpans(spans, buf[:])
+		if err != nil {
+			return nil, err
 		}
+		return s.readGrouped(snap, groups, off, length)
 	}
 	out := make([]byte, length)
 	sawNil := false
-	var mu sync.Mutex
-	err := s.forEachSpan(p, spans, func(sp balancer.StripeSpan) error {
+	err := forEachSpan(spans, func(sp balancer.StripeSpan) error {
 		err := s.readSpan(p, snap, sp.Target, sp.TargetOff, sp.Length, out[sp.Off-off:sp.Off-off+sp.Length], cmdUnit)
 		if errors.Is(err, errNilRead) {
-			mu.Lock()
 			sawNil = true
-			mu.Unlock()
 			return nil
 		}
 		return err

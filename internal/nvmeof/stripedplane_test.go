@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/nvme-cr/nvmecr/internal/balancer"
 	"github.com/nvme-cr/nvmecr/internal/model"
 	"github.com/nvme-cr/nvmecr/internal/plane"
 	"github.com/nvme-cr/nvmecr/internal/sim"
@@ -246,10 +247,7 @@ func TestStripedPlaneConcurrentOverTCP(t *testing.T) {
 	children := make([]plane.Plane, targets)
 	for i := range children {
 		_, addr := startTarget(t, map[uint32]int64{1: childSize})
-		pool, err := DialPool(addr, 1, PoolConfig{
-			QueuePairs: 2,
-			Batch:      BatchConfig{Enabled: true, MergeWrites: true},
-		})
+		pool, err := DialPool(addr, 1, PoolConfig{QueuePairs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,5 +302,58 @@ func TestStripedPlaneConcurrentOverTCP(t *testing.T) {
 	}
 	if err := sp.Flush(nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGroupSpansContiguousForStripeGeometry pins the invariant the real
+// path's grouped fan-out rests on: for every balancer.StripeGeometry
+// (children, replicas, unit) and every in-range request (offset,
+// length), each group's spans are contiguous on that group, so
+// groupSpans never fails and its extents cover the request exactly.
+func TestGroupSpansContiguousForStripeGeometry(t *testing.T) {
+	const seed = 0x5eed
+	rng := rand.New(rand.NewSource(seed))
+	units := []int64{1, 512, 4096, 64 << 10}
+	for i := 0; i < 5000; i++ {
+		replicas := 1 + rng.Intn(3)
+		geo := balancer.StripeGeometry{
+			Targets:  replicas * (1 + rng.Intn(8)),
+			Unit:     units[rng.Intn(len(units))] + int64(rng.Intn(3)),
+			Replicas: replicas,
+		}
+		size := geo.UsableSize(geo.Unit * int64(1+rng.Intn(64)))
+		off := rng.Int63n(size)
+		length := 1 + rng.Int63n(size-off)
+		spans := geo.Logical().Spans(off, length)
+		var buf [inlineStripeGroups]stripeGroup
+		groups, err := groupSpans(spans, buf[:])
+		if err != nil {
+			t.Fatalf("seed %#x iter %d: %+v off=%d len=%d: %v", seed, i, geo, off, length, err)
+		}
+		var total int64
+		count := 0
+		for _, g := range groups {
+			total += g.length
+			count += g.count
+			next := g.targetOff
+			for _, sp := range spans {
+				if sp.Target != g.target {
+					continue
+				}
+				if sp.TargetOff != next {
+					t.Fatalf("seed %#x iter %d: %+v off=%d len=%d: group %d span at %d, want %d",
+						seed, i, geo, off, length, g.target, sp.TargetOff, next)
+				}
+				next += sp.Length
+			}
+			if next != g.targetOff+g.length {
+				t.Fatalf("seed %#x iter %d: group %d extent [%d,+%d) does not end its spans at %d",
+					seed, i, g.target, g.targetOff, g.length, next)
+			}
+		}
+		if total != length || count != len(spans) {
+			t.Fatalf("seed %#x iter %d: %+v off=%d len=%d: groups cover %d bytes in %d spans, want %d in %d",
+				seed, i, geo, off, length, total, count, length, len(spans))
+		}
 	}
 }

@@ -25,23 +25,19 @@ const (
 	MetricQPPhaseQueue   = "nvmecr_qp_phase_queue_seconds"
 	MetricQPPhaseService = "nvmecr_qp_phase_service_seconds"
 
-	// Batcher series (only populated on queue pairs with batching
-	// enabled): flushes are vectored wire writes, merged counts WRITEs
-	// absorbed into a predecessor's capsule, and the commands/bytes
-	// histograms record each flush's shape (count buckets, not seconds).
+	// Batcher series: flushes are vectored wire writes, merged counts
+	// WRITEs absorbed into a predecessor's capsule, and the
+	// commands/bytes histograms record each flush's shape (count
+	// buckets, not seconds).
 	MetricQPBatchFlushes  = "nvmecr_qp_batch_flushes_total"
 	MetricQPBatchMerged   = "nvmecr_qp_batch_merged_total"
 	MetricQPBatchCommands = "nvmecr_qp_batch_commands"
 	MetricQPBatchBytes    = "nvmecr_qp_batch_bytes"
 	MetricQPBatchLatency  = "nvmecr_qp_batch_flush_seconds"
 
-	// Polled-path series: ring occupancy is the queue pair's in-flight
-	// slot count (a gauge updated at register/complete), and the
-	// poll-vs-park counters split completion waits between busy-poll
-	// reaps and scheduler parks (only populated with BusyPoll on).
+	// Ring occupancy is the queue pair's in-flight slot count (a gauge
+	// updated at register/complete).
 	MetricQPRingOccupancy = "nvmecr_qp_ring_occupancy"
-	MetricQPPollHits      = "nvmecr_qp_poll_hits_total"
-	MetricQPPollParks     = "nvmecr_qp_poll_parks_total"
 
 	MetricPoolQueuePairs = "nvmecr_pool_queue_pairs"
 
@@ -79,15 +75,12 @@ type qpTelemetry struct {
 	batchBytes    *telemetry.Histogram
 	batchFlushLat *telemetry.Histogram
 
-	ringOcc   *telemetry.Gauge
-	pollHits  *telemetry.Counter
-	pollParks *telemetry.Counter
+	ringOcc *telemetry.Gauge
 }
 
-// Batch-shape histogram buckets: capsules per flush tops out at the
-// MaxCommands default (64), bytes per flush at the MaxBytes default
-// (256 KiB). Explicit because the registry default buckets are
-// latency-oriented.
+// Batch-shape histogram buckets: capsules per flush tops out at
+// defaultMaxBatch (64), bytes per flush at batchMaxBytes (256 KiB).
+// Explicit because the registry default buckets are latency-oriented.
 var (
 	batchCmdBuckets  = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 	batchByteBuckets = []float64{512, 4096, 16384, 65536, 262144, 1048576, 8388608}
@@ -117,9 +110,7 @@ func newQPTelemetry(reg *telemetry.Registry, qp int) qpTelemetry {
 		batchBytes:    reg.Histogram(MetricQPBatchBytes, batchByteBuckets, l),
 		batchFlushLat: reg.Histogram(MetricQPBatchLatency, nil, l),
 
-		ringOcc:   reg.Gauge(MetricQPRingOccupancy, l),
-		pollHits:  reg.Counter(MetricQPPollHits, l),
-		pollParks: reg.Counter(MetricQPPollParks, l),
+		ringOcc: reg.Gauge(MetricQPRingOccupancy, l),
 	}
 }
 

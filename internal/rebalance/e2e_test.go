@@ -125,7 +125,6 @@ func TestEndToEndHealthDrivenMigration(t *testing.T) {
 			MaxRetries:       2,
 			RetryBackoff:     time.Millisecond,
 			ReconnectBackoff: time.Millisecond,
-			Batch:            nvmeof.BatchConfig{Enabled: true, MergeWrites: true},
 		})
 		if err != nil {
 			tgt.Close()

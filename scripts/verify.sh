@@ -105,19 +105,6 @@ echo "== mirrored no-lost-byte property suite (short mode)"
 go test -short -count=1 -run 'TestMirroredSingleEquivalence|TestMigrationCrashRecovery' \
 	./internal/nvmeof ./internal/rebalance
 
-echo "== deprecated vfs API gate"
-# The old Create/ReadOnly/WriteOnly surface lives on only inside the
-# compat shims; new in-repo callers must use Open with O_* flags.
-deprecated="$(grep -rn --include='*.go' \
-	-e 'vfs\.ReadOnly' -e 'vfs\.WriteOnly' \
-	-e '\.Create(\(p\|ctx\.Proc\|nil\), ' \
-	. | grep -v '/compat\.go:' || true)"
-if [ -n "$deprecated" ]; then
-	echo "deprecated vfs API used outside compat shims:"
-	echo "$deprecated"
-	exit 1
-fi
-
 echo "== go test -race (runtime core)"
 go test -race ./internal/core
 
